@@ -790,19 +790,24 @@ pub fn run_or_panic(name: &str, src: &str, abi: Abi, ins: &[(&str, &[u8])]) -> A
     }
 }
 
-/// Figure 1 (Olden): cycles per benchmark per ABI. `scale` grows the
-/// working sets (1 = quick, 8 = harness default).
-pub fn fig1_points(scale: u32) -> Vec<AbiPoint> {
+/// The Figure 1 Olden suite at `scale` (1 = quick, 8 = harness
+/// default): each program's name and C source.
+pub fn fig1_workloads(scale: u32) -> Vec<(&'static str, String)> {
     let s = scale.max(1);
-    let workloads = vec![
+    vec![
         ("Bisort", sources::bisort(400 * s)),
         ("MST", sources::mst((24 * s).min(200))),
         ("Treeadd", sources::treeadd((9 + s.ilog2()).min(14), 6)),
         ("Perimeter", sources::perimeter((5 + s.ilog2()).min(9))),
         ("MallocStr", sources::malloc_stress(32 * s, 6)),
-    ];
+    ]
+}
+
+/// Figure 1 (Olden): cycles per benchmark per ABI on
+/// [`fig1_workloads`]`(scale)`.
+pub fn fig1_points(scale: u32) -> Vec<AbiPoint> {
     let mut points = Vec::new();
-    for (name, src) in &workloads {
+    for (name, src) in &fig1_workloads(scale) {
         let mut outputs = Vec::new();
         for abi in Abi::ALL {
             let p = run_or_panic(name, src, abi, &[]);

@@ -426,8 +426,28 @@ impl Hierarchy {
     /// VM's cycle counter): the hierarchy clock is advanced to it first,
     /// so compute gaps between accesses close transaction burst windows.
     /// Charges are unaffected under the legacy knobs.
+    ///
+    /// The common case — a non-empty access inside one L1 line that hits,
+    /// on a flat CPU port (true of every preset) — is handled inline with
+    /// exactly the general path's effects: the L1 LRU stamp and dirty
+    /// mask, `l1_hits`, the hierarchy clock and `cycles`. Misses and
+    /// line-crossing accesses take [`Hierarchy::access`].
+    // Forced: with a plain hint the compiler folds `access` into this body
+    // and then keeps the whole of it out of line, a call per guest access.
+    #[inline(always)]
     pub fn access_at(&mut self, now: u64, addr: u64, len: u64, write: bool) -> u64 {
         self.now = self.now.max(now);
+        if let Some(port) = self.port_flat {
+            let line = self.cfg.l1.line_bytes;
+            // `len <= line - offset` cannot overflow, unlike `addr + len`.
+            let fits = len != 0 && len <= line - (addr & (line - 1));
+            if fits && self.l1.hit(addr & !(line - 1), write) {
+                self.stats.l1_hits += 1;
+                self.now += port;
+                self.stats.cycles += port;
+                return port;
+            }
+        }
         self.access(addr, len, write)
     }
 

@@ -96,23 +96,6 @@ impl LevelSpec {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Line {
-    tag: u64,
-    valid: bool,
-    /// Dirty mask, one bit per L1-line-sized sector. For L1 (and for an
-    /// L2 whose line equals the L1 line) this is a single bit.
-    dirty: u64,
-    stamp: u64,
-}
-
-const EMPTY_LINE: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: 0,
-    stamp: 0,
-};
-
 /// The line displaced by a fill.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Victim {
@@ -121,12 +104,24 @@ pub(crate) struct Victim {
     pub(crate) dirty: u64,
 }
 
+/// One cache level's tag store: `nsets × ways` line slots kept as three
+/// flat arrays indexed `set * ways + way`, so a hit probe scans one short
+/// run of tags and touches one stamp and one dirty mask.
+///
+/// A slot is empty iff its LRU stamp is 0. Every access advances the
+/// clock before stamping, so resident lines carry stamps of at least 1,
+/// and no tag value is reserved: a tag spans `64 − log2(line) −
+/// log2(sets)` bits, all 64 of them for a 1-byte-line, 1-set level.
 #[derive(Clone, Debug)]
 pub(crate) struct Level {
-    spec: LevelSpec,
-    /// `nsets × ways` fixed line slots: `lines[set * ways .. +ways]`.
-    lines: Box<[Line]>,
+    tags: Box<[u64]>,
+    /// LRU stamps (clock at last touch); 0 marks an empty slot.
+    stamps: Box<[u64]>,
+    /// Dirty mask, one bit per L1-line-sized sector. For L1 (and for an
+    /// L2 whose line equals the L1 line) this is a single bit.
+    dirty: Box<[u64]>,
     clock: u64,
+    ways: usize,
     /// Shift/mask index math; validation guarantees power-of-two line
     /// size and set count.
     line_shift: u32,
@@ -149,10 +144,13 @@ impl Level {
     /// sets the dirty-tracking granularity.
     pub(crate) fn new(spec: LevelSpec, sector_bytes: u64) -> Level {
         let nsets = spec.sets();
+        let slots = (nsets * spec.ways) as usize;
         Level {
-            spec,
-            lines: vec![EMPTY_LINE; (nsets * spec.ways) as usize].into_boxed_slice(),
+            tags: vec![0; slots].into_boxed_slice(),
+            stamps: vec![0; slots].into_boxed_slice(),
+            dirty: vec![0; slots].into_boxed_slice(),
             clock: 0,
+            ways: spec.ways as usize,
             line_shift: spec.line_bytes.trailing_zeros(),
             set_mask: nsets - 1,
             set_shift: nsets.trailing_zeros(),
@@ -161,13 +159,29 @@ impl Level {
         }
     }
 
-    /// Splits `line_addr` into (set index, tag).
+    /// Splits `line_addr` into (first slot of its set, tag).
+    #[inline]
     fn set_and_tag(&self, line_addr: u64) -> (usize, u64) {
         let idx = line_addr >> self.line_shift;
-        ((idx & self.set_mask) as usize, idx >> self.set_shift)
+        (
+            (idx & self.set_mask) as usize * self.ways,
+            idx >> self.set_shift,
+        )
+    }
+
+    /// The slot holding the line with `tag` in the set starting at `set`.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let ways = set..set + self.ways;
+        let hit = self.tags[ways.clone()]
+            .iter()
+            .zip(&self.stamps[ways])
+            .position(|(&t, &stamp)| t == tag && stamp != 0)?;
+        Some(set + hit)
     }
 
     /// The dirty-mask bit for the sector containing `addr`.
+    #[inline]
     pub(crate) fn sector_bit(&self, addr: u64) -> u64 {
         1 << ((addr >> self.sector_shift) & self.sector_mask)
     }
@@ -175,54 +189,64 @@ impl Level {
     /// Whether the line containing `line_addr` is resident, without
     /// touching LRU state (the prefetcher's probe).
     pub(crate) fn probe(&self, line_addr: u64) -> bool {
-        let (set_idx, tag) = self.set_and_tag(line_addr);
-        let ways = self.spec.ways as usize;
-        self.lines[set_idx * ways..(set_idx + 1) * ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let (set, tag) = self.set_and_tag(line_addr);
+        self.find(set, tag).is_some()
+    }
+
+    /// The hit half of [`Level::access`]: if the line containing
+    /// `line_addr` is resident, refreshes its LRU stamp, dirties the
+    /// sector on a write and returns `true`; otherwise changes nothing.
+    // Forced so `Hierarchy::access_at`'s callers get the probe inline.
+    #[inline(always)]
+    pub(crate) fn hit(&mut self, line_addr: u64, write: bool) -> bool {
+        let (set, tag) = self.set_and_tag(line_addr);
+        let Some(slot) = self.find(set, tag) else {
+            return false;
+        };
+        self.clock += 1;
+        self.stamps[slot] = self.clock;
+        if write {
+            self.dirty[slot] |= self.sector_bit(line_addr);
+        }
+        true
     }
 
     /// Looks up the line containing `line_addr`, filling on miss (into a
     /// free way if one exists, else over the least-recently-used line).
     /// A write dirties the sector containing `line_addr`.
     pub(crate) fn access(&mut self, line_addr: u64, write: bool) -> Lookup {
+        if self.hit(line_addr, write) {
+            return Lookup::Hit;
+        }
+        Lookup::Miss(self.fill(line_addr, write))
+    }
+
+    /// Installs the (absent) line containing `line_addr` over the first
+    /// empty way of its set, else the least-recently-used one, returning
+    /// the displaced line. Empty ways carry stamp 0, below every resident
+    /// stamp, so one minimum scan finds either.
+    fn fill(&mut self, line_addr: u64, write: bool) -> Option<Victim> {
         self.clock += 1;
-        let (set_idx, tag) = self.set_and_tag(line_addr);
-        let wmask = if write { self.sector_bit(line_addr) } else { 0 };
-        let ways = self.spec.ways as usize;
-        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
-        let mut free = None;
-        let mut lru = 0;
-        let mut lru_stamp = u64::MAX;
-        for (i, l) in set.iter_mut().enumerate() {
-            if l.valid {
-                if l.tag == tag {
-                    l.stamp = self.clock;
-                    l.dirty |= wmask;
-                    return Lookup::Hit;
-                }
-                if l.stamp < lru_stamp {
-                    lru_stamp = l.stamp;
-                    lru = i;
-                }
-            } else if free.is_none() {
-                free = Some(i);
+        let set_idx = (line_addr >> self.line_shift) & self.set_mask;
+        let (set, tag) = self.set_and_tag(line_addr);
+        let stamps = &self.stamps[set..set + self.ways];
+        let mut slot = 0;
+        for (i, &stamp) in stamps.iter().enumerate() {
+            if stamp < stamps[slot] {
+                slot = i;
             }
         }
-        let slot = free.unwrap_or(lru);
-        let victim = set[slot].valid.then(|| Victim {
+        let slot = set + slot;
+        let victim = (self.stamps[slot] != 0).then(|| Victim {
             // tag = idx / sets and set = idx % sets, so the victim's line
             // address reconstructs exactly.
-            line_addr: ((set[slot].tag << self.set_shift) | set_idx as u64) << self.line_shift,
-            dirty: set[slot].dirty,
+            line_addr: ((self.tags[slot] << self.set_shift) | set_idx) << self.line_shift,
+            dirty: self.dirty[slot],
         });
-        set[slot] = Line {
-            tag,
-            valid: true,
-            dirty: wmask,
-            stamp: self.clock,
-        };
-        Lookup::Miss(victim)
+        self.tags[slot] = tag;
+        self.stamps[slot] = self.clock;
+        self.dirty[slot] = if write { self.sector_bit(line_addr) } else { 0 };
+        victim
     }
 
     /// Marks the sector containing `addr` dirty in its resident line and
@@ -230,42 +254,33 @@ impl Level {
     /// whether the line was present.
     pub(crate) fn touch_dirty(&mut self, addr: u64) -> bool {
         self.clock += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let bit = self.sector_bit(addr);
-        let ways = self.spec.ways as usize;
-        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
-        for l in set.iter_mut() {
-            if l.valid && l.tag == tag {
-                l.dirty |= bit;
-                l.stamp = self.clock;
-                return true;
-            }
-        }
-        false
+        let (set, tag) = self.set_and_tag(addr);
+        let Some(slot) = self.find(set, tag) else {
+            return false;
+        };
+        self.dirty[slot] |= self.sector_bit(addr);
+        self.stamps[slot] = self.clock;
+        true
     }
 
     /// Removes the line containing `line_addr` if resident, returning its
     /// dirty mask (inclusion back-invalidation).
     pub(crate) fn invalidate(&mut self, line_addr: u64) -> Option<u64> {
-        let (set_idx, tag) = self.set_and_tag(line_addr);
-        let ways = self.spec.ways as usize;
-        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
-        for l in set.iter_mut() {
-            if l.valid && l.tag == tag {
-                let dirty = l.dirty;
-                *l = EMPTY_LINE;
-                return Some(dirty);
-            }
-        }
-        None
+        let (set, tag) = self.set_and_tag(line_addr);
+        let slot = self.find(set, tag)?;
+        self.stamps[slot] = 0;
+        Some(std::mem::take(&mut self.dirty[slot]))
     }
 
     pub(crate) fn flush(&mut self) -> u64 {
-        let mut dirty = 0;
-        for l in self.lines.iter_mut() {
-            dirty += u64::from(l.valid && l.dirty != 0);
-            *l = EMPTY_LINE;
-        }
+        let dirty = self
+            .stamps
+            .iter()
+            .zip(self.dirty.iter())
+            .filter(|&(&stamp, &d)| stamp != 0 && d != 0)
+            .count() as u64;
+        self.stamps.fill(0);
+        self.dirty.fill(0);
         dirty
     }
 }

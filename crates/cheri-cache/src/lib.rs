@@ -810,6 +810,49 @@ mod tests {
             prop_assert_eq!(plain.stats(), clocked.stats());
         }
 
+        /// `access_at`'s inline L1-hit path is the general path: one
+        /// random stream — lengths 0..=80, line-crossing accesses, reads
+        /// and writes, a hot set that hits, a wide one that evicts, and
+        /// addresses at the very top of the address space — driven through
+        /// `access_at` and through `access` (its clock advanced the same
+        /// way by a zero-length `access_at`, which touches nothing else)
+        /// returns the same cycles and leaves the same stats after every
+        /// access, on every L1 line width and transaction knob.
+        #[test]
+        fn hit_path_matches_the_general_path(
+            accesses in proptest::collection::vec(
+                (
+                    prop_oneof![0u64..1 << 12, 0u64..1 << 18, (0u64..512).prop_map(|d| u64::MAX - d)],
+                    0u64..81,
+                    any::<bool>(),
+                ),
+                1..300,
+            ),
+            gaps in proptest::collection::vec(0u64..16, 1..50),
+            knobs in (0u64..3, 1u64..6, 0u64..6),
+            prefetch in prefetch_policies(),
+        ) {
+            let (line_sel, mshrs, store_buffer) = knobs;
+            let cfg = HierarchyConfig::fpga_softcore()
+                .with_l1_line_bytes(16 << line_sel)
+                .with_mshrs(mshrs)
+                .with_store_buffer(store_buffer.min(mshrs))
+                .with_prefetch(prefetch);
+            let mut inline = Hierarchy::new(cfg);
+            let mut general = Hierarchy::new(cfg);
+            let mut clock = 0u64;
+            for (i, &(addr, len, w)) in accesses.iter().enumerate() {
+                let c0 = inline.access_at(clock, addr, len, w);
+                prop_assert_eq!(general.access_at(clock, addr, 0, w), 0);
+                let c1 = general.access(addr, len, w);
+                prop_assert_eq!(c0, c1, "access {} at {:#x} len {}", i, addr, len);
+                prop_assert_eq!(inline.stats(), general.stats());
+                // A caller clock that sometimes lags the cycles charged, so
+                // the hierarchy's own clock carries over between accesses.
+                clock += gaps[i % gaps.len()];
+            }
+        }
+
         /// Repeating the same small working set converges to all-hits.
         #[test]
         fn small_working_set_converges(base in 0u64..1 << 16) {

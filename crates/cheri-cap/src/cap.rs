@@ -454,7 +454,23 @@ impl Capability {
     /// * [`CapError::PermissionViolation`] — missing permission.
     /// * [`CapError::BoundsViolation`] — any byte outside
     ///   `[base, base + length)`.
+    #[inline]
     pub fn check_access(&self, len: u64, required: Perms) -> CapResult<u64> {
+        self.check_access_at(0, len, required)
+    }
+
+    /// Validates an access of `len` bytes at `delta` bytes past the current
+    /// address — exactly `self.inc_offset(delta)?.check_access(len,
+    /// required)`, the same address on success and the same error on
+    /// every failure, without building the intermediate capability. This
+    /// is the load/store path's `cb + imm` check.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Capability::check_access`]; a tagged sealed capability
+    /// reports [`CapError::SealViolation`] just as `inc_offset` would.
+    #[inline]
+    pub fn check_access_at(&self, delta: i64, len: u64, required: Perms) -> CapResult<u64> {
         if !self.tag {
             return Err(CapError::TagViolation);
         }
@@ -464,10 +480,11 @@ impl Capability {
         if !self.perms.contains(required) {
             return Err(CapError::PermissionViolation(required));
         }
-        let addr = self.address();
+        let offset = self.offset.wrapping_add(delta as u64);
+        let addr = self.base.wrapping_add(offset);
         // offset may have wrapped; the access is valid iff it lies entirely
         // within [base, top). Work in u128 to dodge overflow corner cases.
-        let off = self.offset as u128;
+        let off = offset as u128;
         if off.checked_add(len as u128).is_none()
             || off + len as u128 > self.length as u128
             || addr < self.base
@@ -522,6 +539,7 @@ impl fmt::Display for Capability {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cap() -> Capability {
         Capability::new_mem(0x1000, 0x100, Perms::data())
@@ -728,6 +746,90 @@ mod tests {
         let other = Capability::new_mem(0x43, 0x10, Perms::all());
         let c = cap().seal(&sealer).unwrap();
         assert_eq!(c.unseal(&other).unwrap_err(), CapError::SealViolation);
+    }
+
+    /// A capability of every shape `check_access_at` distinguishes:
+    /// tagged or not, sealed or not, any permission subset, regions from
+    /// tiny to reaching the top of the address space, and cursors inside,
+    /// just past, or anywhere outside them.
+    fn any_cap() -> impl Strategy<Value = Capability> {
+        (
+            (any::<u64>(), 0u64..4),
+            any::<u64>(),
+            (0u16..1 << 8, 0u8..8),
+            0u8..4,
+        )
+            .prop_map(|((base, len_kind), off, (perm_bits, shape), tag_kind)| {
+                let len = match len_kind {
+                    0 => off % 256,
+                    1 => off % (1 << 20),
+                    2 => u64::MAX - base,
+                    _ => (u64::MAX - base).min(off),
+                };
+                let off = if shape == 0 {
+                    off
+                } else {
+                    (off >> 2) % len.saturating_add(2).max(1)
+                };
+                // Mostly full data rights, sometimes an arbitrary subset.
+                let perms = if perm_bits & 0x80 == 0 {
+                    Perms::data()
+                } else {
+                    Perms::from_bits(perm_bits)
+                };
+                let mut c = Capability::new_mem(base, len, perms);
+                c.offset = off;
+                if shape == 1 {
+                    c.otype = 0x42;
+                }
+                if tag_kind == 0 {
+                    c.clear_tag()
+                } else {
+                    c
+                }
+            })
+    }
+
+    fn any_delta() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            -8i64..8,
+            -64i64..64,
+            -64i64..64,
+            any::<i64>(),
+            (0i64..64).prop_map(|d| i64::MAX - d)
+        ]
+    }
+
+    fn any_len() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..9,
+            0u64..9,
+            0u64..64,
+            any::<u64>(),
+            (0u64..64).prop_map(|d| u64::MAX - d)
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The copy-free check agrees with offsetting a copy and checking
+        /// it — address and error alike — on untagged, sealed and
+        /// permission-poor capabilities, wrapping offsets and lengths near
+        /// `u64::MAX`.
+        #[test]
+        fn check_access_at_is_inc_offset_then_check_access(
+            c in any_cap(),
+            d in any_delta(),
+            len in any_len(),
+            required in (0u16..1 << 7).prop_map(|b| if b < 64 { Perms::LOAD } else { Perms::from_bits(b) }),
+        ) {
+            prop_assert_eq!(
+                c.check_access_at(d, len, required),
+                c.inc_offset(d).and_then(|c| c.check_access(len, required)),
+                "{:?} + {} len {} {:?}", c, d, len, required
+            );
+        }
     }
 
     #[test]

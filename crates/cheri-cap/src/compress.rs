@@ -185,13 +185,10 @@ impl CompressedCapability {
     }
 }
 
-/// The smallest exponent `E` whose 16-bit mantissa can express `length`.
+/// The smallest exponent `E` whose 16-bit mantissa can express `length`:
+/// the bits of `length` above the mantissa's width.
 fn exponent_for_length(length: u64) -> u32 {
-    let mut e = 0u32;
-    while (length >> e) > MANTISSA_MASK {
-        e += 1;
-    }
-    e
+    (64 - MANTISSA_BITS).saturating_sub(length.leading_zeros())
 }
 
 /// The `2^E` bound alignment the 128-bit format demands of a region of
@@ -357,6 +354,28 @@ mod tests {
         assert_eq!(CapFormat::Cap256.stored_bytes(), 32);
         assert_eq!(CapFormat::Cap128.stored_bytes(), 16);
         assert_eq!(CapFormat::default(), CapFormat::Cap256);
+    }
+
+    #[test]
+    fn exponent_for_length_matches_the_shift_loop() {
+        let shift_loop = |length: u64| {
+            let mut e = 0u32;
+            while (length >> e) > MANTISSA_MASK {
+                e += 1;
+            }
+            e
+        };
+        for k in 0..64 {
+            let p = 1u64 << k;
+            for length in [p - 1, p, p + 1] {
+                assert_eq!(
+                    exponent_for_length(length),
+                    shift_loop(length),
+                    "length {length:#x}"
+                );
+            }
+        }
+        assert_eq!(exponent_for_length(u64::MAX), shift_loop(u64::MAX));
     }
 
     #[test]

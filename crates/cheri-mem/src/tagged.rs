@@ -60,6 +60,13 @@ const CAP128_ESCAPE: [u8; CAP128_SIZE_BYTES] = [
 ///   when the copy is granule-to-granule aligned and the source granule was
 ///   tagged — the behaviour that lets `memcpy` and unions move capabilities
 ///   without knowing they are there (paper §4).
+///
+/// Every plain store goes through [`TaggedMemory::write_bytes`]. Its
+/// common case — a scalar that stays inside one 32-byte granule (hence
+/// one 64 KiB dirty chunk) while the Cap128 side table is empty — writes
+/// the bytes, clears that one tag and sets that one dirty bit; every other
+/// store walks the touched granules, side-table entries and chunks. Both
+/// branches leave the memory in the same state.
 #[derive(Clone, Debug)]
 pub struct TaggedMemory {
     bytes: Vec<u8>,
@@ -79,6 +86,12 @@ pub struct TaggedMemory {
 
 /// Dirty-tracking granularity: 64 KiB chunks (a multiple of [`CAP_ALIGN`]).
 const DIRTY_CHUNK: u64 = 64 * 1024;
+
+/// The first `N` bytes of `b` as an array: one fixed-width load.
+#[inline]
+fn le_bytes<const N: usize>(b: &[u8]) -> [u8; N] {
+    b[..N].try_into().expect("slice holds the access width")
+}
 
 impl TaggedMemory {
     /// Creates a zeroed memory of `size` bytes (rounded up to a whole number
@@ -236,6 +249,16 @@ impl TaggedMemory {
         }
     }
 
+    /// The general bookkeeping of a plain write over `[addr, addr+len)`:
+    /// clears every touched tag, drops every touched side-table entry and
+    /// marks every touched chunk dirty. Callers have already
+    /// bounds-checked.
+    fn overwrite(&mut self, addr: u64, len: u64) {
+        self.clear_tags_over(addr, len);
+        self.drop_side_over(addr, len);
+        self.mark_dirty(addr, len);
+    }
+
     /// Reads `len` bytes starting at `addr`.
     ///
     /// # Errors
@@ -248,15 +271,29 @@ impl TaggedMemory {
 
     /// Writes `data` at `addr`, clearing the tags of every granule touched.
     ///
+    /// A non-empty write inside one granule while the side table is empty
+    /// — every scalar store that does not straddle a granule, outside
+    /// Cap128 escapes — clears that granule's tag and sets its chunk's
+    /// dirty bit directly; anything else walks the touched range.
+    ///
     /// # Errors
     ///
     /// [`MemError::OutOfRange`] if the range leaves the backing store.
+    #[inline]
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> MemResult<()> {
-        let a = self.check(addr, data.len() as u64)?;
+        let len = data.len() as u64;
+        let a = self.check(addr, len)?;
         self.bytes[a..a + data.len()].copy_from_slice(data);
-        self.clear_tags_over(addr, data.len() as u64);
-        self.drop_side_over(addr, data.len() as u64);
-        self.mark_dirty(addr, data.len() as u64);
+        // `check` bounded `addr + len`, so the sum cannot overflow.
+        if len != 0 && addr % CAP_ALIGN + len <= CAP_ALIGN && self.side.is_empty() {
+            // A granule never straddles a dirty chunk (CAP_ALIGN divides
+            // DIRTY_CHUNK), so one tag and one dirty bit cover the write.
+            self.tags[(addr / CAP_ALIGN) as usize] = false;
+            let c = addr / DIRTY_CHUNK;
+            self.dirty[(c / 64) as usize] |= 1 << (c % 64);
+            return Ok(());
+        }
+        self.overwrite(addr, len);
         Ok(())
     }
 
@@ -306,6 +343,7 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn write_u8(&mut self, addr: u64, v: u8) -> MemResult<()> {
         self.write_bytes(addr, &[v])
     }
@@ -315,6 +353,7 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn write_u16(&mut self, addr: u64, v: u16) -> MemResult<()> {
         self.write_bytes(addr, &v.to_le_bytes())
     }
@@ -324,6 +363,7 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn write_u32(&mut self, addr: u64, v: u32) -> MemResult<()> {
         self.write_bytes(addr, &v.to_le_bytes())
     }
@@ -333,6 +373,7 @@ impl TaggedMemory {
     /// # Errors
     ///
     /// [`MemError::OutOfRange`].
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, v: u64) -> MemResult<()> {
         self.write_bytes(addr, &v.to_le_bytes())
     }
@@ -347,14 +388,20 @@ impl TaggedMemory {
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4 or 8.
+    #[inline]
     pub fn read_uint(&self, addr: u64, width: u8) -> MemResult<u64> {
-        match width {
-            1 => self.read_u8(addr).map(u64::from),
-            2 => self.read_u16(addr).map(u64::from),
-            4 => self.read_u32(addr).map(u64::from),
-            8 => self.read_u64(addr),
-            _ => panic!("unsupported access width {width}"),
-        }
+        assert!(
+            matches!(width, 1 | 2 | 4 | 8),
+            "unsupported access width {width}"
+        );
+        let a = self.check(addr, u64::from(width))?;
+        let b = &self.bytes[a..a + width as usize];
+        Ok(match width {
+            1 => u64::from(b[0]),
+            2 => u64::from(u16::from_le_bytes(le_bytes(b))),
+            4 => u64::from(u32::from_le_bytes(le_bytes(b))),
+            _ => u64::from_le_bytes(le_bytes(b)),
+        })
     }
 
     /// Writes the low `width` ∈ {1, 2, 4, 8} bytes of `v`, little-endian.
@@ -366,6 +413,7 @@ impl TaggedMemory {
     /// # Panics
     ///
     /// Panics if `width` is not 1, 2, 4 or 8.
+    #[inline]
     pub fn write_uint(&mut self, addr: u64, v: u64, width: u8) -> MemResult<()> {
         match width {
             1 => self.write_u8(addr, v as u8),
@@ -531,15 +579,13 @@ impl TaggedMemory {
             }
         }
         self.bytes.copy_within(s..s + len as usize, d);
-        self.clear_tags_over(dst, len);
-        self.drop_side_over(dst, len);
+        self.overwrite(dst, len);
         for a in inherit {
             self.tags[(a / CAP_ALIGN) as usize] = true;
         }
         for (a, full) in side_moves {
             self.side.insert(a, full);
         }
-        self.mark_dirty(dst, len);
         Ok(())
     }
 
@@ -551,9 +597,7 @@ impl TaggedMemory {
     pub fn fill(&mut self, addr: u64, len: u64, value: u8) -> MemResult<()> {
         let a = self.check(addr, len)?;
         self.bytes[a..a + len as usize].fill(value);
-        self.clear_tags_over(addr, len);
-        self.drop_side_over(addr, len);
-        self.mark_dirty(addr, len);
+        self.overwrite(addr, len);
         Ok(())
     }
 
@@ -921,9 +965,17 @@ mod tests {
             a.tagged_granules().collect::<Vec<_>>(),
             b.tagged_granules().collect::<Vec<_>>()
         );
-        assert_eq!(a.side_table_len(), b.side_table_len());
+        assert_eq!(a.side, b.side);
         assert_eq!(a.compression_stats(), b.compression_stats());
         assert_eq!(a.dirty, b.dirty);
+    }
+
+    /// The general write loop — copy, then `overwrite` the range — that
+    /// the one-granule branch of `write_bytes` must reproduce.
+    fn write_general(m: &mut TaggedMemory, addr: u64, data: &[u8]) {
+        let a = m.check(addr, data.len() as u64).unwrap();
+        m.bytes[a..a + data.len()].copy_from_slice(data);
+        m.overwrite(addr, data.len() as u64);
     }
 
     #[test]
@@ -1147,6 +1199,55 @@ mod tests {
                 prop_assert_eq!(c.base(), a_cap().base());
                 prop_assert_eq!(c.length(), a_cap().length());
             }
+        }
+
+        /// Scalar stores of every width at any alignment — inside a
+        /// granule, straddling granules, straddling 64 KiB dirty chunks —
+        /// interleaved with capability stores in both formats (including
+        /// an unrepresentable Cap128 capability, so the side table is
+        /// sometimes non-empty) leave bytes, tags, side table and dirty
+        /// bitmap exactly as the general write loop does.
+        #[test]
+        fn scalar_stores_match_the_general_loop(
+            cap128 in any::<bool>(),
+            ops in proptest::collection::vec((0u8..9, 0u64..3, -40i64..40, any::<u64>()), 1..48),
+        ) {
+            let size = 3 * DIRTY_CHUNK;
+            let make = || if cap128 {
+                TaggedMemory::with_format(size, CapFormat::Cap128, UnrepresentablePolicy::SideTable)
+            } else {
+                TaggedMemory::new(size)
+            };
+            let (mut fast, mut general) = (make(), make());
+            for (kind, near, off, v) in ops {
+                // Near a chunk boundary, or anywhere.
+                let base = if near == 0 { v % size } else { near * DIRTY_CHUNK };
+                let addr = base.saturating_add_signed(off).min(size - 8);
+                match kind {
+                    0..=3 => {
+                        let width = 1u8 << kind;
+                        fast.write_uint(addr, v, width).unwrap();
+                        write_general(&mut general, addr, &v.to_le_bytes()[..width as usize]);
+                    }
+                    4 => {
+                        // A multi-byte slice through write_bytes itself.
+                        let data = &v.to_le_bytes()[..(v % 9) as usize];
+                        fast.write_bytes(addr, data).unwrap();
+                        write_general(&mut general, addr, data);
+                    }
+                    _ => {
+                        let g = addr / CAP_ALIGN * CAP_ALIGN;
+                        let c = match kind {
+                            5 => a_cap(),
+                            6 => a_cap().clear_tag(),
+                            _ => unrep_cap(),
+                        };
+                        fast.write_cap(g, &c).unwrap();
+                        general.write_cap(g, &c).unwrap();
+                    }
+                }
+            }
+            assert_mem_identical(&fast, &general);
         }
 
         /// Overlapping copies behave like `memmove`: bytes, tags and (in

@@ -484,6 +484,7 @@ impl Vm {
         self.run_end = 0;
     }
 
+    #[inline]
     fn charge_mem(&mut self, addr: u64, len: u64, write: bool) {
         match &mut self.cache {
             Some(h) => {
@@ -519,23 +520,27 @@ impl Vm {
         }
     }
 
-    /// Resolves a legacy (DDC-relative) access.
+    /// Resolves a legacy (DDC-relative) access: the DDC with its offset
+    /// set to `ptr`, checked in place as the offset delta from the DDC's
+    /// own.
+    #[inline]
     fn legacy_addr(&self, rs: u8, imm: i32, len: u64, perm: Perms) -> Result<u64, TrapCause> {
         let ptr = self.reg(rs).wrapping_add(imm as i64 as u64);
         if ptr < NULL_GUARD_SIZE {
             return Err(TrapCause::NullGuard { addr: ptr });
         }
-        let ddc = self.caps[DDC as usize];
-        let c = ddc.set_offset(ptr)?;
-        Ok(c.check_access(len, perm)?)
+        let ddc = &self.caps[DDC as usize];
+        let delta = ptr.wrapping_sub(ddc.offset()) as i64;
+        Ok(ddc.check_access_at(delta, len, perm)?)
     }
 
     /// Resolves a capability-relative access.
+    #[inline]
     fn cap_addr(&self, cb: u8, imm: i32, len: u64, perm: Perms) -> Result<u64, TrapCause> {
-        let c = self.caps[cb as usize].inc_offset(imm as i64)?;
-        Ok(c.check_access(len, perm)?)
+        Ok(self.caps[cb as usize].check_access_at(imm as i64, len, perm)?)
     }
 
+    #[inline]
     fn load(&mut self, addr: u64, width: u8, signed: bool) -> Result<u64, TrapCause> {
         let raw = self.mem.read_uint(addr, width)?;
         self.charge_mem(addr, width as u64, false);
@@ -551,6 +556,7 @@ impl Vm {
         })
     }
 
+    #[inline]
     fn store(&mut self, addr: u64, width: u8, v: u64) -> Result<(), TrapCause> {
         self.mem.write_uint(addr, v, width)?;
         self.charge_mem(addr, width as u64, true);
